@@ -29,6 +29,7 @@ func TestRejectBadArgs(t *testing.T) {
 		{"trace/unknown-flag", cmdTrace, []string{"-nope"}, "not defined"},
 		{"analyze/trailing", cmdAnalyze, []string{"-trace", "f", "junk"}, "unexpected argument"},
 		{"analyze/bad-faults", cmdAnalyze, []string{"-trace", "f", "-faults", "bogus=1"}, "unknown key"},
+		{"analyze/bad-mem-budget", cmdAnalyze, []string{"-trace", "f", "-mem-budget", "wat"}, "-mem-budget"},
 		{"inspect/unknown-flag", cmdInspect, []string{"-bogus"}, "not defined"},
 		{"render/unknown-flag", cmdRender, []string{"-bogus"}, "not defined"},
 		{"aet/unknown-flag", cmdAET, []string{"-nope"}, "not defined"},

@@ -150,29 +150,22 @@ func cmdAnalyze(args []string) error {
 	eventSim := fs.Float64("event-similarity", 0.80, "fraction of similar events required")
 	compSim := fs.Float64("compute-similarity", 0.85, "compute-time similarity ratio")
 	relevance := fs.Float64("relevance", 0.01, "relevant-phase AET fraction")
-	par := fs.Bool("parallel", false, "fan phase extraction out over the CPUs (tracefile decode is always parallel; see 'trace -parallel')")
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot (stage spans, counters) as JSON")
 	timelineOut := fs.String("timeline", "", "write a Chrome trace-event timeline of the tracefile")
 	promOut := fs.String("prom", "", "also write the metrics in Prometheus text format")
 	faultSpec := fs.String("faults", "", "perturb the trace's clocks before analysis, e.g. skew=5ms,drift=0.001")
 	seed := fs.Int64("seed", 1, "fault-injection seed (with -faults)")
 	serve := fs.String("serve", "", "serve live telemetry on this address while analyzing, e.g. 127.0.0.1:9090 (port 0 picks one)")
-	stream := fs.Bool("stream", false, "analyze out-of-core: stream the tracefile without decoding it into memory (v2 binary tracefiles only)")
-	memBudget := fs.String("mem-budget", "256MiB", "with -stream: resident-memory budget for phase matrices, e.g. 64MiB, 1GiB (0 = unlimited)")
+	memBudget := fs.String("mem-budget", "256MiB", "resident-memory budget for phase matrices, e.g. 64MiB, 1GiB (0 = unlimited); beyond it they spill to a temp dir")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
 		return fmt.Errorf("analyze: -trace is required")
 	}
-	if *stream {
-		for name, set := range map[string]bool{
-			"-explain": *explain, "-faults": *faultSpec != "", "-timeline": *timelineOut != "",
-		} {
-			if set {
-				return fmt.Errorf("analyze: %s needs the in-core trace and is incompatible with -stream", name)
-			}
-		}
+	budget, err := parseBytes(*memBudget)
+	if err != nil {
+		return fmt.Errorf("analyze: -mem-budget: %w", err)
 	}
 	inj, err := faults.ParseSpec(*seed, *faultSpec)
 	if err != nil {
@@ -191,35 +184,28 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer stopServe()
-	cfg := phase.DefaultConfig()
+	cfg := phase.StreamConfig{Config: phase.DefaultConfig(), MemBudgetBytes: budget}
 	cfg.EventSimilarity = *eventSim
 	cfg.ComputeSimilarity = *compSim
 	cfg.RelevanceFraction = *relevance
-	cfg.ExtractParallel = *par
 	cfg.Observer = o
+	if *explain {
+		cfg.Logf = func(format string, args ...any) {
+			fmt.Printf("  "+format+"\n", args...)
+		}
+	}
+	if budget > 0 {
+		if cfg.SpillDir, err = os.MkdirTemp("", "pas2p-spill-*"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(cfg.SpillDir)
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if *stream {
-		if err := analyzeStreamFile(f, *out, *warm, *memBudget, cfg); err != nil {
-			return err
-		}
-		if o != nil {
-			if err := writeSnapshot(o.Registry.Snapshot(), *metricsOut, *promOut); err != nil {
-				return err
-			}
-			if *metricsOut != "" {
-				fmt.Printf("metrics written to %s\n", *metricsOut)
-			}
-			if *promOut != "" {
-				fmt.Printf("prometheus metrics written to %s\n", *promOut)
-			}
-		}
-		return nil
-	}
-	tr, err := trace.DecodeAnyWith(f, trace.CodecOptions{Reg: o.Reg()})
+	tr, src, err := openSource(f, *faultSpec != "" || *timelineOut != "", o.Reg())
 	if err != nil {
 		return err
 	}
@@ -235,39 +221,23 @@ func cmdAnalyze(args []string) error {
 			fmt.Printf("injected clock skew into %d processes (seed %d)\n",
 				rep.ProcsSkewed, *seed)
 		}
-		tr = skewed
+		tr, src = skewed, logical.SourceFromTrace(skewed)
 		inj.Publish(o.Reg())
 	}
-	sp := o.StartSpan("analyze.order")
-	l, err := logical.Order(tr)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	sp.SetCounter("events", int64(len(tr.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
-	var logf func(string, ...any)
-	if *explain {
-		logf = func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		}
-	}
-	an, err := phase.ExtractWithLog(l, cfg, logf)
+	res, err := phase.AnalyzeSource(context.Background(), src, *warm, cfg)
 	if err != nil {
 		return err
 	}
-	sp = o.StartSpan("analyze.table")
-	tb, err := an.BuildTable(*warm)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	sp.SetCounter("relevant_phases", int64(len(tb.RelevantRows())))
-	sp.End()
+	defer res.Close()
+	meta := src.Meta()
 	fmt.Printf("application: %s, %d processes, %d events, %d ticks\n",
-		tr.AppName, tr.Procs, len(tr.Events), l.NumTicks())
-	fmt.Println(an.Summary())
+		meta.AppName, meta.Procs, meta.Events, res.Stats.Ticks)
+	fmt.Println(res.Analysis.Summary())
+	if res.Stats.SpilledPhases > 0 {
+		fmt.Printf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
+			*memBudget, res.Stats.SpilledPhases, res.Stats.SpillBytes, res.Stats.SpillLoads)
+	}
+	tb := res.Table
 	tb.Print(os.Stdout)
 	if *out != "" {
 		g, err := os.Create(*out)
@@ -284,7 +254,7 @@ func cmdAnalyze(args []string) error {
 	}
 	if *timelineOut != "" {
 		pid := timelineFromTrace(o.Timeline, tr)
-		addPhaseBoundaries(o.Timeline, pid, an)
+		addPhaseBoundaries(o.Timeline, pid, res.Analysis)
 	}
 	if o != nil {
 		snap := o.Registry.Snapshot()
@@ -309,64 +279,30 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeStreamFile runs the out-of-core pipeline over an open v2
-// tracefile: rank streams, streaming logical order, incremental phase
-// extraction with a spill budget. Memory stays bounded regardless of
-// trace size.
-func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, cfg phase.Config) error {
-	budget, err := parseBytes(budgetStr)
-	if err != nil {
-		return fmt.Errorf("analyze: -mem-budget: %w", err)
-	}
-	br, err := trace.NewBlockReader(f)
-	if err != nil {
-		return err
-	}
-	rs, err := br.RankStreams()
-	if err != nil {
-		return err
-	}
-	tick, err := logical.StreamOrder(rs)
-	if err != nil {
-		return err
-	}
-	var spillDir string
-	if budget > 0 {
-		spillDir, err = os.MkdirTemp("", "pas2p-spill-*")
-		if err != nil {
-			return err
+// openSource picks where stage A reads a tracefile's events from: a v2
+// file streams rank by rank straight off the open file, with no
+// decode, unless the caller needs the decoded trace anyway (decode);
+// v1, JSON and compressed files are decoded. tr is nil when streaming.
+func openSource(f *os.File, decode bool, reg *obs.Registry) (*trace.Trace, logical.EventSource, error) {
+	if st, err := f.Stat(); err == nil && !decode {
+		if _, v2 := trace.FileCRCAt(f, st.Size()); v2 {
+			br, err := trace.NewBlockReader(f)
+			if err != nil {
+				return nil, nil, err
+			}
+			defer br.Close()
+			rs, err := br.RankStreams()
+			if err != nil {
+				return nil, nil, err
+			}
+			return nil, rs, nil
 		}
-		defer os.RemoveAll(spillDir)
 	}
-	res, err := phase.ExtractStreamTable(context.Background(), tick, tick.Meta(), warm,
-		phase.StreamConfig{Config: cfg, MemBudgetBytes: budget, SpillDir: spillDir})
+	tr, err := trace.DecodeAnyWith(f, trace.CodecOptions{Reg: reg})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer res.Close()
-	meta := rs.Meta()
-	fmt.Printf("application: %s, %d processes, %d events, %d ticks (streamed)\n",
-		meta.AppName, meta.Procs, meta.Events, res.Stats.Ticks)
-	fmt.Println(res.Analysis.Summary())
-	if budget > 0 {
-		fmt.Printf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
-			budgetStr, res.Stats.SpilledPhases, res.Stats.SpillBytes, res.Stats.SpillLoads)
-	}
-	res.Table.Print(os.Stdout)
-	if outPath != "" {
-		g, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		enc := json.NewEncoder(g)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res.Table); err != nil {
-			return err
-		}
-		fmt.Printf("phase table written to %s\n", outPath)
-	}
-	return nil
+	return tr, logical.SourceFromTrace(tr), nil
 }
 
 // parseBytes parses a human byte size: plain bytes, or a decimal with

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"pas2p/internal/logical"
@@ -84,30 +86,36 @@ func cmdInspect(args []string) error {
 	}
 
 	if *phases {
-		l, err := logical.Order(tr)
+		res, err := phase.AnalyzeSource(context.Background(), logical.SourceFromTrace(tr), *warm,
+			phase.StreamConfig{Config: phase.DefaultConfig()})
 		if err != nil {
 			return err
 		}
-		an, err := phase.Extract(l, phase.DefaultConfig())
-		if err != nil {
-			return err
-		}
+		an := res.Analysis
 		fmt.Printf("\n%s\n", an.Summary())
 		fmt.Printf("per-phase attribution (warm occurrence %d):\n", *warm)
 		phase.PrintAttribution(os.Stdout, an.Attribution(*warm))
 	}
 
 	if *ticks {
-		l, err := logical.Order(tr)
+		r, err := logical.StreamOrder(logical.SourceFromTrace(tr))
 		if err != nil {
 			return err
 		}
 		hist := map[int]int{}
-		for _, slots := range l.Ticks {
-			hist[len(slots)]++
+		n := 0
+		for ; ; n++ {
+			tk, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			hist[len(tk.Slots)]++
 		}
 		fmt.Printf("\nlogical model: %d ticks (mean width %.2f events)\n",
-			l.NumTicks(), float64(len(tr.Events))/float64(l.NumTicks()))
+			n, float64(len(tr.Events))/float64(n))
 		fmt.Println("tick-width histogram (events-at-tick: count):")
 		for w := 1; w <= tr.Procs; w++ {
 			if hist[w] > 0 {

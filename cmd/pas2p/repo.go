@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pas2p/internal/apps"
@@ -65,18 +66,12 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		l, err := logical.Order(traced.Trace)
+		res, err := phase.AnalyzeSource(context.Background(), logical.SourceFromTrace(traced.Trace), 1,
+			phase.StreamConfig{Config: phase.DefaultConfig()})
 		if err != nil {
 			return err
 		}
-		an, err := phase.Extract(l, phase.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		tb, err := an.BuildTable(1)
-		if err != nil {
-			return err
-		}
+		tb := res.Table
 		br, err := signature.Build(a, tb, bd, signature.DefaultOptions())
 		if err != nil {
 			return err

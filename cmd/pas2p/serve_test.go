@@ -99,7 +99,7 @@ func TestAnalyzeServeLiveTelemetry(t *testing.T) {
 			}
 			names := checkPromBody(t, string(body))
 			for _, want := range []string{
-				"pas2p_span_wall_seconds", "pas2p_span_wall_seconds_count", "pas2p_codec_decode_blocks",
+				"pas2p_span_wall_seconds", "pas2p_span_wall_seconds_count",
 			} {
 				if !names[want] {
 					t.Errorf("post-run /metrics is missing %s", want)
@@ -115,7 +115,7 @@ func TestAnalyzeServeLiveTelemetry(t *testing.T) {
 			if err := json.Unmarshal(spans, &doc); err != nil {
 				t.Fatal(err)
 			}
-			for _, stage := range []string{"analyze.order", "phase.extract", "analyze.table"} {
+			for _, stage := range []string{"phase.extract.stream"} {
 				if st, ok := doc.Stats[stage]; !ok || st.Count < 1 || st.WallP99NS < st.WallP50NS {
 					t.Errorf("span stats for %s = %+v (present %v)", stage, st, ok)
 				}

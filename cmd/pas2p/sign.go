@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -43,18 +44,12 @@ func cmdSign(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := logical.Order(traced.Trace)
+	res, err := phase.AnalyzeSource(context.Background(), logical.SourceFromTrace(traced.Trace), 1,
+		phase.StreamConfig{Config: phase.DefaultConfig()})
 	if err != nil {
 		return err
 	}
-	an, err := phase.Extract(l, phase.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	tb, err := an.BuildTable(1)
-	if err != nil {
-		return err
-	}
+	tb := res.Table
 	opts := signature.DefaultOptions()
 	opts.AllPhases = *allPhases
 	br, err := signature.Build(a, tb, bd, opts)

@@ -2,66 +2,71 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"pas2p/internal/golden"
+	"pas2p/internal/phase"
+	"pas2p/internal/trace"
 	"pas2p/internal/workload"
 )
 
-// TestAnalyzeStreamCLI drives `analyze -stream` end to end over a
-// synthetic v2 tracefile and requires the emitted phase-table JSON to
-// be byte-identical to the in-core run's.
+// TestAnalyzeStreamCLI drives `analyze -o` end to end over the golden
+// corpus's synthetic trace and requires the emitted phase table to be
+// the frozen one: streamed straight off the v2 file, with a 1-byte
+// budget that forces every phase matrix through the spill path, and
+// decoded from the JSON encoding of the same trace.
 func TestAnalyzeStreamCLI(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "synth.pas2p")
-	f, err := os.Create(path)
+	want, err := golden.Load(filepath.Join("..", "..", "testdata", "golden"), golden.SynthName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.Synthesize(f, workload.SynthSpec{Procs: 4, TargetEvents: 8_000, Seed: 9}); err != nil {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if _, err := workload.Synthesize(&buf, golden.SynthSpec); err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	if err := f.Close(); err != nil {
+	v2 := filepath.Join(dir, "synth.pas2p")
+	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	inCore := filepath.Join(dir, "incore.json")
-	streamed := filepath.Join(dir, "streamed.json")
-	if err := cmdAnalyze([]string{"-trace", path, "-o", inCore}); err != nil {
-		t.Fatalf("analyze (in-core): %v", err)
-	}
-	// A 1-byte budget forces every phase matrix through the spill path.
-	if err := cmdAnalyze([]string{"-trace", path, "-stream", "-mem-budget", "1B", "-o", streamed}); err != nil {
-		t.Fatalf("analyze -stream: %v", err)
-	}
-	a, err := os.ReadFile(inCore)
+	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(streamed)
-	if err != nil {
+	var js bytes.Buffer
+	if err := trace.EncodeJSON(&js, tr); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("streamed phase table differs from in-core:\n%s\n---\n%s", a, b)
+	jsonPath := filepath.Join(dir, "synth.json")
+	if err := os.WriteFile(jsonPath, js.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestAnalyzeStreamFlagGuards: options that require the in-core trace
-// must be rejected with -stream rather than silently ignored.
-func TestAnalyzeStreamFlagGuards(t *testing.T) {
-	for _, args := range [][]string{
-		{"-trace", "f", "-stream", "-explain"},
-		{"-trace", "f", "-stream", "-faults", "skew=1ms"},
-		{"-trace", "f", "-stream", "-timeline", "t.json"},
+	warm := strconv.Itoa(golden.Warm)
+	for name, args := range map[string][]string{
+		"streamed":     {"-trace", v2},
+		"forced-spill": {"-trace", v2, "-mem-budget", "1B"},
+		"decoded-json": {"-trace", jsonPath},
 	} {
-		if err := cmdAnalyze(args); err == nil {
-			t.Errorf("%v: want incompatibility error, got nil", args)
+		out := filepath.Join(dir, name+".json")
+		if err := cmdAnalyze(append(args, "-warm", warm, "-o", out)); err != nil {
+			t.Fatalf("analyze (%s): %v", name, err)
 		}
-	}
-	if err := cmdAnalyze([]string{"-trace", "missing", "-stream", "-mem-budget", "wat"}); err == nil {
-		t.Error("bogus -mem-budget accepted")
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb phase.Table
+		if err := json.Unmarshal(data, &tb); err != nil {
+			t.Fatal(err)
+		}
+		if d := golden.Diff(want, golden.FromTable(want.Name, &tb)); len(d) > 0 {
+			t.Fatalf("analyze (%s) drifts from the frozen table (old -> new):\n%s", name, strings.Join(d, "\n"))
+		}
 	}
 }
 

@@ -82,12 +82,11 @@ func benchAppLogical(b *testing.B, name, wl string, procs int) *logical.Logical 
 }
 
 // BenchmarkExtractApps compares the extraction paths on real workload
-// traces: "seed" is the pre-index full scan, "indexed" the
-// fingerprint-indexed matcher, "parallel" the full engine with the
-// fill pass and candidate scoring fanned out over the worker pool.
-// lu/classD at 64 ranks is the largest trace internal/apps produces
-// (897k events over 40k ticks); pop/synthetic240 is the densest. The
-// golden tests prove all three paths return the identical Analysis.
+// traces: "seed" is the pre-index full scan, "indexed" the engine's
+// streamed scan with the fingerprint-indexed matcher. lu/classD at 64
+// ranks is the largest trace internal/apps produces (897k events over
+// 40k ticks); pop/synthetic240 is the densest. The golden tests prove
+// both paths return the identical Analysis.
 func BenchmarkExtractApps(b *testing.B) {
 	cases := []struct {
 		name, wl string
@@ -102,15 +101,12 @@ func BenchmarkExtractApps(b *testing.B) {
 	}
 	seedCfg := DefaultConfig()
 	seedCfg.naiveMatch = true
-	parCfg := DefaultConfig()
-	parCfg.ExtractParallel = true
 	modes := []struct {
 		mode string
 		cfg  Config
 	}{
 		{"seed", seedCfg},
 		{"indexed", DefaultConfig()},
-		{"parallel", parCfg},
 	}
 	for _, c := range cases {
 		l := benchAppLogical(b, c.name, c.wl, c.procs)

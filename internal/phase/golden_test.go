@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pas2p/internal/apps"
@@ -13,16 +14,13 @@ import (
 	"pas2p/internal/trace"
 )
 
-// goldenConfigs returns the three extraction modes that must agree bit
-// for bit: the pre-index reference scan, the fingerprint-indexed
-// matcher, and the indexed matcher with parallel candidate scoring.
+// goldenConfigs returns the two extraction modes that must agree bit
+// for bit: the pre-index reference scan and the engine (streamed scan,
+// fingerprint-indexed matcher).
 func goldenConfigs() map[string]Config {
 	seed := DefaultConfig()
 	seed.naiveMatch = true
-	indexed := DefaultConfig()
-	parallel := DefaultConfig()
-	parallel.ExtractParallel = true
-	return map[string]Config{"seed": seed, "indexed": indexed, "parallel": parallel}
+	return map[string]Config{"seed": seed, "indexed": DefaultConfig()}
 }
 
 // assertAnalysesEqual fails unless the two analyses carry the same
@@ -58,31 +56,35 @@ func assertAnalysesEqual(t *testing.T, label string, want, got *Analysis) {
 }
 
 // assertAllModesAgree extracts a logical trace under every golden
-// config and checks the indexed and parallel analyses against the
-// reference scan.
+// config and checks the engine's analysis and its Fig. 6 narration
+// against the reference scan's.
 func assertAllModesAgree(t *testing.T, label string, l *logical.Logical) {
 	t.Helper()
 	cfgs := goldenConfigs()
-	ref, err := Extract(l, cfgs["seed"])
-	if err != nil {
-		t.Fatalf("%s: seed extraction: %v", label, err)
+	narrate := func(cfg Config) (*Analysis, string) {
+		var sb strings.Builder
+		an, err := ExtractWithLog(l, cfg, func(format string, args ...any) {
+			fmt.Fprintf(&sb, format+"\n", args...)
+		})
+		if err != nil {
+			t.Fatalf("%s: extraction: %v", label, err)
+		}
+		return an, sb.String()
 	}
+	ref, refLog := narrate(cfgs["seed"])
 	if err := ref.Validate(); err != nil {
 		t.Fatalf("%s: seed analysis invalid: %v", label, err)
 	}
-	for _, mode := range []string{"indexed", "parallel"} {
-		an, err := Extract(l, cfgs[mode])
-		if err != nil {
-			t.Fatalf("%s/%s: %v", label, mode, err)
-		}
-		assertAnalysesEqual(t, label+"/"+mode, ref, an)
+	an, log := narrate(cfgs["indexed"])
+	assertAnalysesEqual(t, label+"/indexed", ref, an)
+	if log != refLog {
+		t.Fatalf("%s: engine narration differs from the reference scan's:\n%s\n---\n%s", label, log, refLog)
 	}
 }
 
-// TestGoldenIndexedMatchesSeed proves the fingerprint-indexed matcher
-// (sequential and parallel) produces the identical Analysis as the
-// pre-index scan on every registered workload, under both the PAS2P
-// ordering and the Lamport baseline.
+// TestGoldenIndexedMatchesSeed proves the engine produces the identical
+// Analysis and narration as the pre-index scan on every registered
+// workload, under both the PAS2P ordering and the Lamport baseline.
 func TestGoldenIndexedMatchesSeed(t *testing.T) {
 	// Smallest workload of every registered app, at a process count
 	// every kernel accepts.
@@ -195,8 +197,8 @@ func genTrace(t *testing.T, seed int64, procs int) *trace.Trace {
 }
 
 // TestGoldenRandomTraces is the fuzz-style property test: across
-// random programs, orderings and similarity thresholds, the indexed
-// and parallel matchers must reproduce the reference analysis exactly.
+// random programs, orderings and similarity thresholds, the engine
+// must reproduce the reference analysis exactly.
 func TestGoldenRandomTraces(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
@@ -225,7 +227,6 @@ func TestGoldenRandomTraces(t *testing.T) {
 					}
 					idxCfg := seedCfg
 					idxCfg.naiveMatch = false
-					idxCfg.ExtractParallel = true
 					an, err := Extract(l, idxCfg)
 					if err != nil {
 						t.Fatal(err)

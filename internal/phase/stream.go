@@ -1,18 +1,18 @@
-// Out-of-core phase extraction: the §3.3 scan over a stream of
-// logically-ordered ticks instead of a materialised Logical.
+// Stage A's one engine: the §3.3 scan over a stream of
+// logically-ordered ticks, whether they come from a materialised
+// Logical, an in-memory trace or a tracefile read rank by rank.
 //
-// The in-core runIndexed scan buffers the whole behaviour matrix and
-// decides windows against it. The streaming extractor keeps only the
-// rows of the *open* window — the span since the last startpoint —
-// because every decision the scan makes is local to it: the repeat
-// detector is the same epoch-cleared first-occurrence table (reset at
-// every startpoint), occurrence durations come from a running
-// completion-cut high-water mark, and the phase-table boundary counts
-// come from per-process event counters snapshotted at window edges.
-// Closed windows fold through the identical matcher (equality cache,
-// fingerprint index, counting bound, early-exit scoring), so phase
-// sets, occurrence lists and tables are bit-identical to Extract +
-// BuildTable.
+// The extractor keeps only the rows of the *open* window — the span
+// since the last startpoint — because every decision the scan makes
+// is local to it: the repeat detector is an epoch-cleared
+// first-occurrence table (reset at every startpoint), occurrence
+// durations come from a running completion-cut high-water mark, and
+// the phase-table boundary counts come from per-process event
+// counters snapshotted at window edges.
+// Closed windows fold through the matcher (equality cache, fingerprint
+// index, counting bound, early-exit scoring), so phase sets,
+// occurrence lists and tables are bit-identical to the reference scan
+// + BuildTable.
 //
 // Representative behaviour matrices are the one per-phase state whose
 // total size is not O(window). Under a memory budget they live in a
@@ -59,6 +59,10 @@ type StreamConfig struct {
 	// created if missing.
 	FS       fsx.FS
 	SpillDir string
+	// Logf, when non-nil, narrates each step of the paper's Fig. 6
+	// algorithm: repeat detections, 4a/4b decisions, startpoints and
+	// folds.
+	Logf func(format string, args ...any)
 }
 
 // StreamStats counts what the out-of-core machinery actually did.
@@ -107,6 +111,26 @@ func (r *StreamResult) Close() error {
 // ctxCheckEvery is how many ticks pass between context checks.
 const ctxCheckEvery = 1024
 
+// AnalyzeSource is stage A, the one entrypoint every analysis runs
+// through: the PAS2P logical order (§3.2) streamed over src, fed tick
+// by tick into the phase scan and table builder (§3.3). The source
+// says where events come from — logical.SourceFromTrace for an
+// in-memory trace, trace.RankStreams for a v2 tracefile — and memory
+// stays O(window + budget) either way. warm selects the designated
+// occurrence exactly as BuildTable does. The ordering runs as the
+// extraction pulls ticks, so the stage records one span,
+// "phase.extract.stream", covering both.
+func AnalyzeSource(ctx context.Context, src logical.EventSource, warm int, cfg StreamConfig) (*StreamResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	tick, err := logical.StreamOrder(src)
+	if err != nil {
+		return nil, err
+	}
+	return ExtractStreamTable(ctx, tick, tick.Meta(), warm, cfg)
+}
+
 // ExtractStreamTable runs the §3.3 extraction and the phase-table
 // derivation over a tick stream in one bounded-memory pass. meta is
 // the source tracefile's header (app name, process count, base AET);
@@ -148,6 +172,7 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 		baseCounts: make([]int64, meta.Procs),
 		cum:        make([]int64, meta.Procs),
 		cacheBufs:  map[int]*cacheBuf{},
+		logf:       cfg.Logf,
 	}
 	if store != nil {
 		x.m.cellsOf = store.cells
@@ -175,11 +200,12 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 	if x.nTicks == 0 {
 		return nil, fmt.Errorf("phase: empty logical trace")
 	}
-	// Trailing window, exactly like the in-core scan's final close.
+	// Trailing window: the run's last phase occurrence.
 	x.closeWindow(x.start, x.nTicks)
 	if x.err != nil {
 		return nil, x.err
 	}
+	x.an.Ticks = x.nTicks
 
 	tb := x.finishTable(meta)
 	res := &StreamResult{Analysis: x.an, Table: tb, store: store}
@@ -187,6 +213,7 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 	if store != nil {
 		res.Stats.SpilledPhases, res.Stats.SpillLoads, res.Stats.SpillBytes = store.stats()
 	}
+	sp.SetCounter("events", int64(meta.Events))
 	sp.SetCounter("ticks", int64(x.nTicks))
 	sp.SetCounter("phases_found", int64(len(x.an.Phases)))
 	sp.SetCounter("windows_scored", x.m.nScored)
@@ -265,11 +292,12 @@ type streamExtractor struct {
 	cacheBufs map[int]*cacheBuf
 
 	nTicks int
+	logf   func(format string, args ...any)
 }
 
 // ingest advances the scan by one tick: repeat-scan it, close windows
-// if it repeats, then append its row to the open window. Mirrors one
-// iteration of runIndexed's tick loop.
+// if it repeats, then append its row to the open window. Narration is
+// guarded by logf != nil: ...any arguments heap-box on every call.
 func (x *streamExtractor) ingest(tk *logical.Tick) {
 	t := tk.Index
 	repeatFirst := -1
@@ -281,9 +309,16 @@ func (x *streamExtractor) ingest(tk *logical.Tick) {
 	if repeatFirst >= 0 {
 		if repeatFirst == x.start {
 			// Step 4a: one full period [start, t).
+			if x.logf != nil {
+				x.logf("tick %d: repeat of the startpoint event -> step 4a, close phase [%d,%d)", t, x.start, t)
+			}
 			x.closeWindow(x.start, t)
 		} else {
 			// Step 4b: partition into phase a and phase b.
+			if x.logf != nil {
+				x.logf("tick %d: repeat of tick-%d event -> step 4b, partition into [%d,%d) and [%d,%d)",
+					t, repeatFirst, x.start, repeatFirst, repeatFirst, t)
+			}
 			x.closeWindow(x.start, repeatFirst)
 			x.closeWindow(repeatFirst, t)
 		}
@@ -292,6 +327,9 @@ func (x *streamExtractor) ingest(tk *logical.Tick) {
 		}
 		// Step 6: new startpoint at t; the repeated event opens the new
 		// window.
+		if x.logf != nil {
+			x.logf("tick %d: new startpoint (step 6)", t)
+		}
 		x.rowPool = append(x.rowPool, x.rows...)
 		x.rows = x.rows[:0]
 		x.rowExit = x.rowExit[:0]
@@ -363,8 +401,10 @@ func (x *streamExtractor) countsAt(b int) []int64 {
 	return out
 }
 
-// closeWindow folds [s,e) through the matching engine — the streaming
-// twin of savePhaseCells, plus the occurrence snapshot for the table.
+// closeWindow folds [s,e) through the matching engine — the window-
+// equality cache first, then the fingerprint index — and snapshots the
+// occurrence for the table. A window that becomes a new phase gets its
+// cells copied out of the recycled open-window rows.
 func (x *streamExtractor) closeWindow(s, e int) {
 	if e <= s {
 		return
@@ -383,6 +423,11 @@ func (x *streamExtractor) closeWindow(s, e int) {
 		x.setCacheCopy(cells, events, match)
 		match.Occurrences = append(match.Occurrences, occ)
 		ph = match
+	}
+	if ph != nil {
+		if x.logf != nil {
+			x.logf("  window [%d,%d) similar to phase %d -> weight %d (step 5)", s, e, ph.ID, ph.Weight())
+		}
 	} else {
 		owned := copyCells(cells)
 		np := &Phase{
@@ -401,6 +446,9 @@ func (x *streamExtractor) closeWindow(s, e int) {
 		}
 		x.rstate = append(x.rstate, &rowState{})
 		ph = np
+		if x.logf != nil {
+			x.logf("  window [%d,%d) is new -> phase %d (%d events)", s, e, np.ID, events)
+		}
 	}
 	if x.store != nil {
 		if err := x.store.takeErr(); err != nil {
@@ -527,9 +575,8 @@ type spillEntry struct {
 
 // spillStore owns every phase's representative matrix during a
 // budgeted extraction: a mutex-guarded resident set with LRU eviction
-// to one CRC-checked file per phase. Phase.Cells stays nil throughout,
-// so concurrent matcher workers never race on it — all access funnels
-// through cells().
+// to one CRC-checked file per phase. Phase.Cells stays nil throughout;
+// all access funnels through cells().
 type spillStore struct {
 	fs     fsx.FS
 	dir    string
@@ -563,7 +610,7 @@ func (s *spillStore) adopt(p *Phase, cells [][]Cell) {
 }
 
 // cells returns a phase's matrix for scoring, loading it from the
-// spill file if it was evicted. Safe for concurrent use; on I/O error
+// spill file if it was evicted. On I/O error
 // it records the error and returns an all-absent matrix of the right
 // shape so the caller's scan stays in bounds (the extraction aborts at
 // the next error check).

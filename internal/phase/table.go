@@ -98,6 +98,9 @@ func (a *Analysis) BuildTable(warmOccurrence int) (*Table, error) {
 	if warmOccurrence < 0 {
 		return nil, fmt.Errorf("phase: negative warm occurrence index")
 	}
+	if a.Logical == nil {
+		return nil, fmt.Errorf("phase: analysis was streamed; its table comes with it")
+	}
 	procs := a.Logical.Trace.Procs
 	// prefix[p] holds the sorted tick positions of process p's events,
 	// so "events completed before tick t" is a binary search.

@@ -12,6 +12,7 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -162,29 +163,17 @@ func Run(e Experiment) (*Outcome, error) {
 	out.AETPAS2P = traced.Elapsed
 	out.TFSize = trace.EncodedSize(traced.Trace)
 
-	// 3. Analysis: logical ordering, phase extraction, phase table.
-	//    TFAT is the real tool time this takes. Extraction records its
-	//    own "phase.extract" span through PhaseConfig.Observer.
+	// 3. Analysis: stage A (logical ordering, phase extraction, phase
+	//    table) streamed off the traced run. TFAT is the real tool time
+	//    this takes. Stage A records its own "phase.extract.stream" span
+	//    through PhaseConfig.Observer.
 	t0 := time.Now()
-	sp = o.StartSpan("predict.order")
-	l, err := logical.Order(traced.Trace)
+	sa, err := phase.AnalyzeSource(context.Background(), logical.SourceFromTrace(traced.Trace), warmOcc,
+		phase.StreamConfig{Config: e.PhaseConfig})
 	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("predict: ordering: %w", err)
+		return nil, fmt.Errorf("predict: analysis: %w", err)
 	}
-	sp.SetCounter("events", int64(len(traced.Trace.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
-	an, err := phase.Extract(l, e.PhaseConfig)
-	if err != nil {
-		return nil, fmt.Errorf("predict: extraction: %w", err)
-	}
-	sp = o.StartSpan("predict.table")
-	tb, err := an.BuildTable(warmOcc)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("predict: table: %w", err)
-	}
+	an, tb := sa.Analysis, sa.Table
 	out.TFAT = time.Since(t0)
 	out.Total = tb.TotalPhases
 	out.Relevant = len(tb.RelevantRows())

@@ -50,8 +50,7 @@ func Table3(w io.Writer, opts Options) (*T3Result, error) {
 	}
 	out, err := predict.Run(predict.Experiment{
 		App: app, Base: d, Target: d, EventOverhead: opts.EventOverhead,
-		PhaseConfig: opts.phaseConfig(),
-		Observer:    opts.Observer,
+		Observer: opts.Observer,
 	})
 	if err != nil {
 		return nil, err

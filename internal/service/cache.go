@@ -7,12 +7,13 @@ import (
 	"sync"
 )
 
-// cacheKey identifies one analysis result: the PAS2PTR2 whole-file
-// CRC of the submitted tracefile (every byte of the upload feeds it)
-// plus the warm-occurrence selector, which changes the table rows.
+// cacheKey identifies one analysis result: the SHA-256 of the
+// submitted tracefile plus the warm-occurrence selector, which changes
+// the table rows. The v2 trailer CRC cannot serve: each segment's CRC
+// precedes it in the file, so the whole-file CRC depends only on the
+// segment lengths, not on their content.
 type cacheKey struct {
-	crc  uint32
-	size int64 // upload length: cheap second factor against CRC collisions
+	sum  [32]byte
 	warm int
 }
 

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"pas2p"
 	"pas2p/internal/apps"
 	"pas2p/internal/logical"
 	"pas2p/internal/machine"
@@ -458,27 +457,33 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 	if len(data) == 0 {
 		return nil, errBadRequest("empty body: POST the tracefile bytes")
 	}
-
+	body, size := bytes.NewReader(data), int64(len(data))
 	crc, isV2 := trace.FileCRC(data)
 	if !isV2 {
-		// Legacy or JSON tracefile: no whole-file CRC to key the cache
-		// on, so compute fresh (the decoder still verifies per-record
-		// checksums where the format carries them).
-		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
+		// Legacy, compressed or JSON tracefile: decoded and analysed
+		// fresh, outside the cache.
+		return s.analyzeUncached(ctx, body, size, warm)
 	}
+	k := cacheKey{sum: sha256.Sum256(data), warm: warm}
+	return s.analyzeCached(ctx, k, "in-core", func() (*AnalyzeResponse, *APIError) {
+		return s.analyzeWork(ctx, body, size, true, crc, warm, 0)
+	})
+}
 
-	k := cacheKey{crc: crc, size: int64(len(data)), warm: warm}
+func analyzeHeaders(cache, mode string) map[string]string {
+	return map[string]string{CacheHeader: cache, AnalyzeModeHeader: mode}
+}
+
+// analyzeCached answers from the LRU, or joins the single flight for
+// k, running work on a miss.
+func (s *Service) analyzeCached(ctx context.Context, k cacheKey, mode string, work func() (*AnalyzeResponse, *APIError)) (*handlerResult, *APIError) {
 	if v, ok := s.cache.get(k); ok {
 		s.mCacheHit.Inc()
-		return &handlerResult{v: v, header: analyzeHeaders("hit", "in-core")}, nil
+		return &handlerResult{v: v, header: analyzeHeaders("hit", mode)}, nil
 	}
 	s.mCacheMiss.Inc()
 	v, err, leader := s.group.do(ctx, k, func() (*AnalyzeResponse, error) {
-		resp, aerr := s.analyzeWork(ctx, data, crc, warm)
+		resp, aerr := work()
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -493,21 +498,27 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 		s.mDedup.Inc()
 		how = "dedup"
 	}
-	return &handlerResult{v: v, header: analyzeHeaders(how, "in-core")}, nil
+	return &handlerResult{v: v, header: analyzeHeaders(how, mode)}, nil
 }
 
-func analyzeHeaders(cache, mode string) map[string]string {
-	return map[string]string{CacheHeader: cache, AnalyzeModeHeader: mode}
+// analyzeUncached analyses a tracefile that is not in the v2 format.
+func (s *Service) analyzeUncached(ctx context.Context, body io.ReaderAt, size int64, warm int) (*handlerResult, *APIError) {
+	resp, aerr := s.analyzeWork(ctx, body, size, false, 0, warm, 0)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
 }
 
 // handleAnalyzeStream serves a large analyze upload out-of-core: the
-// body is spooled to a scratch file (never held on the heap), its v2
-// trailer CRC keys the same LRU/single-flight as the in-core path, and
-// the bounded-memory AnalyzeStream pipeline produces the answer — bit-
-// identical to the in-core one, so cache entries are interchangeable
-// between lanes. A spooled upload that turns out not to be v2 falls
-// back in-core when it fits under MaxBodyBytes, else it is refused:
-// only the checksummed block format supports random access.
+// body is spooled to a scratch file (never held on the heap) and
+// hashed on the way, the SHA-256 keys the same LRU/single-flight as
+// the in-core lane, and stage A streams off the spool under the
+// lane's memory budget. Answers are identical to the in-core lane's,
+// so cache entries are interchangeable. A spooled upload that turns
+// out not to be v2 is decoded when it fits under MaxBodyBytes, else it
+// is refused: only the checksummed block format supports random
+// access.
 func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm int) (*handlerResult, *APIError) {
 	spool, err := os.CreateTemp("", "pas2p-upload-*.pas2p")
 	if err != nil {
@@ -517,7 +528,8 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 		spool.Close()
 		os.Remove(spool.Name())
 	}()
-	size, err := io.Copy(spool, r.Body)
+	h := sha256.New()
+	size, err := io.Copy(io.MultiWriter(spool, h), r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -534,119 +546,73 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 		if size > s.cfg.MaxBodyBytes {
 			return nil, errBodyTooLarge(s.cfg.MaxBodyBytes)
 		}
-		data := make([]byte, size)
-		if _, err := spool.ReadAt(data, 0); err != nil {
-			return nil, errInternal(err)
-		}
-		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
+		return s.analyzeUncached(ctx, spool, size, warm)
 	}
-
-	k := cacheKey{crc: crc, size: size, warm: warm}
-	if v, ok := s.cache.get(k); ok {
-		s.mCacheHit.Inc()
-		return &handlerResult{v: v, header: analyzeHeaders("hit", "stream")}, nil
-	}
-	s.mCacheMiss.Inc()
-	v, err, leader := s.group.do(ctx, k, func() (*AnalyzeResponse, error) {
-		resp, aerr := s.analyzeStreamWork(ctx, spool, crc, warm)
-		if aerr != nil {
-			return nil, aerr
-		}
-		s.cache.put(k, resp)
-		return resp, nil
+	k := cacheKey{sum: [32]byte(h.Sum(nil)), warm: warm}
+	return s.analyzeCached(ctx, k, "stream", func() (*AnalyzeResponse, *APIError) {
+		return s.analyzeWork(ctx, spool, size, true, crc, warm, s.cfg.StreamMemBudget)
 	})
-	if err != nil {
-		return nil, asAPIError(err, "analyze")
-	}
-	how := "miss"
-	if !leader {
-		s.mDedup.Inc()
-		how = "dedup"
-	}
-	return &handlerResult{v: v, header: analyzeHeaders(how, "stream")}, nil
 }
 
-// analyzeStreamWork runs the bounded-memory pipeline over a spooled
-// upload under the request context (stage-boundary cancellation inside
-// AnalyzeStream, worker abandonment via runWork).
-func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
-	v, err := s.runWork(ctx, "analyze", func() (any, error) {
-		br, err := trace.NewBlockReader(io.NewSectionReader(spool, 0, 1<<62))
-		if err != nil {
-			return nil, errCorruptTrace(err)
-		}
-		defer br.Close()
-		spill, err := os.MkdirTemp("", "pas2p-spill-*")
+// uploadSource opens stage A's event source over an uploaded
+// tracefile: a v2 body streams rank by rank off the bytes, with no
+// decode to events; v1, JSON and compressed bodies are decoded.
+func (s *Service) uploadSource(body io.ReaderAt, size int64, isV2 bool) (logical.EventSource, error) {
+	r := io.NewSectionReader(body, 0, size)
+	if !isV2 {
+		tr, err := trace.DecodeAnyWith(r, trace.CodecOptions{Workers: s.cfg.AnalyzeWorkers})
 		if err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(spill)
-		res, err := pas2p.AnalyzeStream(ctx, br, phase.DefaultConfig(), warm, pas2p.AnalyzeStreamOptions{
-			MemBudgetBytes: s.cfg.StreamMemBudget,
-			SpillDir:       spill,
-		})
+		return logical.SourceFromTrace(tr), nil
+	}
+	br, err := trace.NewBlockReader(r)
+	if err != nil {
+		return nil, err
+	}
+	defer br.Close()
+	rs, err := br.RankStreams()
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// analyzeWork runs stage A over one uploaded tracefile under the
+// request context (cancellation inside the tick loop, worker
+// abandonment via runWork). A budget > 0 spills phase matrices beyond
+// it to a scratch directory.
+func (s *Service) analyzeWork(ctx context.Context, body io.ReaderAt, size int64, isV2 bool, crc uint32, warm int, budget int64) (*AnalyzeResponse, *APIError) {
+	v, err := s.runWork(ctx, "analyze", func() (any, error) {
+		src, err := s.uploadSource(body, size, isV2)
+		if err != nil {
+			return nil, errCorruptTrace(err)
+		}
+		cfg := phase.StreamConfig{Config: phase.DefaultConfig(), MemBudgetBytes: budget}
+		if budget > 0 {
+			if cfg.SpillDir, err = os.MkdirTemp("", "pas2p-spill-*"); err != nil {
+				return nil, err
+			}
+			defer os.RemoveAll(cfg.SpillDir)
+		}
+		res, err := phase.AnalyzeSource(ctx, src, warm, cfg)
 		if err != nil {
 			// Corruption discovered mid-stream (a block CRC deep in the
-			// spool) surfaces here rather than at decode time; map it to
-			// the same typed rejection the in-core decoder produces.
+			// body) surfaces here rather than when the source opens;
+			// map it to the same typed rejection.
 			if strings.HasPrefix(err.Error(), "trace:") {
 				return nil, errCorruptTrace(err)
 			}
 			return nil, err
 		}
 		defer res.Close()
-		meta := br.Meta()
+		meta := src.Meta()
 		tb := res.Table
 		rel := tb.RelevantRows()
 		resp := &AnalyzeResponse{
 			App:            meta.AppName,
 			Procs:          meta.Procs,
 			Events:         int(meta.Events),
-			TraceCRC32C:    crc,
-			Warm:           warm,
-			BaseAETNS:      int64(tb.BaseAET),
-			TotalPhases:    tb.TotalPhases,
-			Relevant:       len(rel),
-			PredictedAETNS: int64(tb.PredictedAET(true)),
-			Phases:         make([]PhaseSummary, 0, len(rel)),
-		}
-		for _, row := range rel {
-			resp.Phases = append(resp.Phases, PhaseSummary{
-				PhaseID:   row.PhaseID,
-				Weight:    row.Weight,
-				PhaseETNS: int64(row.PhaseET),
-			})
-		}
-		return resp, nil
-	})
-	if err != nil {
-		return nil, asAPIError(err, "analyze")
-	}
-	return v.(*AnalyzeResponse), nil
-}
-
-// analyzeWork decodes and analyses one uploaded tracefile under the
-// request context (stage-boundary cancellation via AnalyzeCtx, worker
-// abandonment via runWork).
-func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
-	v, err := s.runWork(ctx, "analyze", func() (any, error) {
-		tr, err := trace.DecodeAnyWith(bytes.NewReader(data), trace.CodecOptions{Workers: s.cfg.AnalyzeWorkers})
-		if err != nil {
-			return nil, errCorruptTrace(err)
-		}
-		_, tb, err := pas2p.AnalyzeCtx(ctx, tr, phase.DefaultConfig(), warm)
-		if err != nil {
-			return nil, err
-		}
-		rel := tb.RelevantRows()
-		resp := &AnalyzeResponse{
-			App:            tr.AppName,
-			Procs:          tr.Procs,
-			Events:         len(tr.Events),
 			TraceCRC32C:    crc,
 			Warm:           warm,
 			BaseAETNS:      int64(tb.BaseAET),
@@ -708,14 +674,12 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		l, err := logical.Order(traced.Trace)
+		res, err := phase.AnalyzeSource(ctx, logical.SourceFromTrace(traced.Trace), 1,
+			phase.StreamConfig{Config: phase.DefaultConfig()})
 		if err != nil {
 			return nil, err
 		}
-		_, tb, err := analyzeLogical(ctx, l)
-		if err != nil {
-			return nil, err
-		}
+		tb := res.Table
 		opts := signature.DefaultOptions()
 		opts.AllPhases = req.AllPhases
 		br, err := signature.Build(a, tb, bd, opts)
@@ -757,26 +721,6 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		return nil, repoAPIError(err, "sign")
 	}
 	return &handlerResult{v: v}, nil
-}
-
-// analyzeLogical is the ctx-checked extract+table tail of the sign
-// pipeline (ordering already done by the caller).
-func analyzeLogical(ctx context.Context, l *logical.Logical) (*phase.Analysis, *phase.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	an, err := phase.Extract(l, phase.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	tb, err := an.BuildTable(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return an, tb, nil
 }
 
 func (s *Service) handleLookup(ctx context.Context, r *http.Request) (*handlerResult, *APIError) {

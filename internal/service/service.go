@@ -78,14 +78,15 @@ type Config struct {
 	CacheEntries int
 	// MaxBodyBytes caps uploaded request bodies (0: 64 MiB).
 	MaxBodyBytes int64
-	// AnalyzeWorkers is the per-analysis extraction parallelism knob
-	// passed to the pipeline (0: half of GOMAXPROCS, min 1 — analyses
-	// already run concurrently across requests).
+	// AnalyzeWorkers is the codec worker count for decoding uploads
+	// that are not v2 (v2 bodies stream without a decode) (0: half of
+	// GOMAXPROCS, min 1 — analyses already run concurrently across
+	// requests).
 	AnalyzeWorkers int
 
 	// The stream lane: analyze uploads whose declared Content-Length is
 	// at least StreamThresholdBytes are spooled to disk and analysed
-	// out-of-core (AnalyzeStream), so the body cap for them can sit far
+	// off the spool under StreamMemBudget, so the body cap for them can sit far
 	// above MaxBodyBytes without heap risk. The lane has its own
 	// admission class ("stream") — slots, queue and EWMA cost model —
 	// because a multi-gigabyte analysis would otherwise poison the heavy

@@ -630,7 +630,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestLRUCacheEvictsOldest(t *testing.T) {
 	c := newLRUCache(2)
-	k := func(i uint32) cacheKey { return cacheKey{crc: i, size: 1, warm: 1} }
+	k := func(i uint32) cacheKey { return cacheKey{sum: [32]byte{byte(i)}, warm: 1} }
 	c.put(k(1), &AnalyzeResponse{TotalPhases: 1})
 	c.put(k(2), &AnalyzeResponse{TotalPhases: 2})
 	if _, ok := c.get(k(1)); !ok {
@@ -650,7 +650,7 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 
 func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
 	g := newFlightGroup()
-	k := cacheKey{crc: 7, size: 7, warm: 1}
+	k := cacheKey{sum: [32]byte{7}, warm: 1}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	var leaders, followers int
@@ -700,7 +700,7 @@ func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
 
 func TestFlightGroupFollowerTakesOverDeadLeader(t *testing.T) {
 	g := newFlightGroup()
-	k := cacheKey{crc: 9, size: 9, warm: 1}
+	k := cacheKey{sum: [32]byte{9}, warm: 1}
 	leaderIn := make(chan struct{})
 	leaderGo := make(chan struct{})
 	go func() {
@@ -881,4 +881,70 @@ func TestAnalyzeStreamLaneErrors(t *testing.T) {
 	// trace decoding, typed.
 	resp = postBytes(t, ts.URL+"/v1/analyze", []byte("small junk"), nil)
 	wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+}
+
+// TestAnalyzeCacheKeysOnContent: two same-shape tracefiles with
+// different content share the v2 trailer CRC (each segment's CRC
+// precedes it, so the running CRC depends only on segment lengths),
+// yet each upload must get its own analysis on both lanes.
+func TestAnalyzeCacheKeysOnContent(t *testing.T) {
+	a, err := pas2p.MakeApp("cg", 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pas2p.NewDeployment(pas2p.ClusterA(), 8, pas2p.MapBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pas2p.RunApp(a, pas2p.RunConfig{Deployment: d, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(tr *pas2p.Trace) []byte {
+		var buf bytes.Buffer
+		if err := pas2p.EncodeTrace(&buf, tr, pas2p.TraceCodecOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	data1 := encode(r.Trace)
+	edited := *r.Trace
+	edited.Events = append([]trace.Event(nil), r.Trace.Events...)
+	edited.Events[10].ComputeBefore *= 3
+	edited.Events[20].Size++
+	edited.AET += edited.AET / 10
+	data2 := encode(&edited)
+	crc1, _ := trace.FileCRC(data1)
+	crc2, _ := trace.FileCRC(data2)
+	if len(data1) != len(data2) || crc1 != crc2 || bytes.Equal(data1, data2) {
+		t.Fatalf("want same-shape, same-CRC, different-content uploads: len %d/%d crc %08x/%08x",
+			len(data1), len(data2), crc1, crc2)
+	}
+	for lane, threshold := range map[string]int64{"in-core": -1, "stream": 1} {
+		t.Run(lane, func(t *testing.T) {
+			mod := func(c *Config) { c.StreamThresholdBytes = threshold }
+			_, ts := newTestService(t, mod)
+			_, fresh := newTestService(t, mod)
+			analyze := func(url string, data []byte) (AnalyzeResponse, string) {
+				resp := postBytes(t, url+"/v1/analyze", data, nil)
+				if resp.StatusCode != http.StatusOK {
+					b, _ := io.ReadAll(resp.Body)
+					t.Fatalf("analyze: %d %q", resp.StatusCode, b)
+				}
+				var ar AnalyzeResponse
+				cache := resp.Header.Get(CacheHeader)
+				decodeInto(t, resp, &ar)
+				return ar, cache
+			}
+			analyze(ts.URL, data1)
+			got, cache := analyze(ts.URL, data2)
+			if cache != "miss" {
+				t.Errorf("second, different upload X-Cache = %q, want miss", cache)
+			}
+			want, _ := analyze(fresh.URL, data2)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("second upload answered with another trace's analysis:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
 }

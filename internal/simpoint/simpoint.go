@@ -111,7 +111,8 @@ func Extract(l *logical.Logical, cfg Config) (*phase.Analysis, error) {
 			VolumeSimilarity:  1,
 			RelevanceFraction: cfg.RelevanceFraction,
 		},
-		AET: l.Trace.AET,
+		AET:   l.Trace.AET,
+		Ticks: nTicks,
 	}
 	byCluster := make([][]phase.Occurrence, k)
 	for iv := 0; iv < nIv; iv++ {

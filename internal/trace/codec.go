@@ -67,9 +67,11 @@ const maxEventCount = 1 << 36
 const eventChunk = 1 << 16
 
 // FileCRC extracts the whole-file CRC32-C a v2 tracefile declares in
-// its trailer without reading the body. It is the stable identity of
-// an encoded tracefile (every preceding byte feeds it), which the
-// signature service uses as its cache and dedup key. The second
+// its trailer without reading the body. It is NOT a content identity:
+// every segment (header, each block) is followed by its own CRC, and a
+// CRC run over data plus that data's CRC ends in a state fixed by the
+// data's length alone, so two same-shape traces share it whatever
+// their content. Hash the bytes to identify a tracefile. The second
 // return is false when data is not a plausible v2 tracefile (wrong
 // magic, missing trailer); the CRC itself is NOT verified here —
 // only a full Decode or VerifyStream proves the bytes match it.
@@ -90,8 +92,9 @@ func FileCRC(data []byte) (uint32, bool) {
 
 // FileCRCAt is FileCRC for a random-access source of known size (a
 // spooled upload, an mmap'd artefact): it reads the 8-byte magic and
-// the 12-byte trailer without touching the body, so the identity of an
-// arbitrarily large tracefile costs two tiny reads.
+// the 12-byte trailer without touching the body, so checking that an
+// arbitrarily large file is plausibly v2 costs two tiny reads. Like
+// FileCRC, the CRC it returns says nothing about the content.
 func FileCRCAt(ra io.ReaderAt, size int64) (uint32, bool) {
 	if size < int64(len(magicV2)+len(trailer)+4) {
 		return 0, false

@@ -5,6 +5,8 @@
 package pas2p_test
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
 	"pas2p"
@@ -41,22 +43,20 @@ func tracedRing(t testing.TB, procs, iters int) *pas2p.Trace {
 
 // TestAnalyzeNilObserverZeroExtraAllocs pins the cost of the disabled
 // observer seam to zero: Analyze with a nil Observer must allocate
-// exactly what composing its stages directly (no seam at all) does.
+// exactly what composing its streamed stages directly (no seam at
+// all) does.
 func TestAnalyzeNilObserverZeroExtraAllocs(t *testing.T) {
 	tr := tracedRing(t, 4, 20)
 	cfg := pas2p.DefaultPhaseConfig()
 
-	// Baseline: the same three stages with no observer seam in sight.
+	// Baseline: the same stages with no observer seam in sight.
 	base := testing.AllocsPerRun(5, func() {
-		l, err := logical.Order(tr)
+		r, err := logical.StreamOrder(logical.SourceFromTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := phase.Extract(l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := an.BuildTable(1); err != nil {
+		if _, err := phase.ExtractStreamTable(context.Background(), r, r.Meta(), 1,
+			phase.StreamConfig{Config: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -86,9 +86,39 @@ func TestAnalyzeObserverRecordsSpans(t *testing.T) {
 	for _, sp := range snap.Spans {
 		seen[sp.Name] = true
 	}
-	for _, want := range []string{"analyze.order", "phase.extract", "analyze.table"} {
+	for _, want := range []string{"phase.extract.stream"} {
 		if !seen[want] {
 			t.Errorf("span %q not recorded; got %v", want, seen)
 		}
+	}
+}
+
+// TestAnalyzeStreamValidates: a streamed analysis carries no
+// materialised Logical, and Validate checks its tiling against the
+// recorded tick count.
+func TestAnalyzeStreamValidates(t *testing.T) {
+	tr := tracedRing(t, 4, 20)
+	var buf bytes.Buffer
+	if err := pas2p.EncodeTrace(&buf, tr, pas2p.TraceCodecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	br, err := pas2p.NewTraceBlockReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pas2p.AnalyzeStream(context.Background(), br, pas2p.DefaultPhaseConfig(), 1, pas2p.AnalyzeStreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := res.Analysis
+	if an.Logical != nil || an.Ticks != res.Stats.Ticks {
+		t.Fatalf("streamed analysis: Logical %p, Ticks %d, want nil and %d", an.Logical, an.Ticks, res.Stats.Ticks)
+	}
+	if err := an.Validate(); err != nil {
+		t.Fatalf("streamed analysis invalid: %v", err)
+	}
+	an.Phases[0].Occurrences[0].EndTick++
+	if err := an.Validate(); err == nil {
+		t.Fatal("Validate accepted a tiling with an overlapping occurrence")
 	}
 }

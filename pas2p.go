@@ -249,53 +249,25 @@ func ExtractPhases(l *Logical, cfg PhaseConfig) (*PhaseAnalysis, error) {
 // phase extraction and phase-table construction. warmOccurrence
 // selects which occurrence of each phase the signature will
 // checkpoint (1 = the second, leaving one occurrence to warm up).
+// The analysis is streamed off the trace, so its Logical is nil: the
+// returned table is the one to use (BuildTable needs ExtractPhases'
+// result).
 func Analyze(tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
 	return AnalyzeCtx(context.Background(), tr, cfg, warmOccurrence)
 }
 
-// AnalyzeCtx is Analyze with cancellation: the context is checked at
-// every stage boundary (before ordering, extraction and table
-// construction), so a served request whose deadline expires — or a
-// draining server shedding in-flight work — abandons the pipeline at
-// the next boundary instead of completing a result nobody will read.
-// A cancelled analysis returns ctx.Err() and nil outputs; it never
-// returns a partial analysis.
+// AnalyzeCtx is Analyze with cancellation: the context is checked
+// before ordering starts and throughout the tick loop, so a served
+// request whose deadline expires — or a draining server shedding
+// in-flight work — abandons the pipeline instead of completing a
+// result nobody will read. A cancelled analysis returns ctx.Err() and
+// nil outputs; it never returns a partial analysis.
 func AnalyzeCtx(ctx context.Context, tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp := cfg.Observer.StartSpan("analyze.order")
-	l, err := logical.Order(tr)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	sp.SetCounter("events", int64(len(tr.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	// phase.Extract records its own "phase.extract" span via cfg.Observer.
-	an, err := phase.Extract(l, cfg)
+	res, err := phase.AnalyzeSource(ctx, logical.SourceFromTrace(tr), warmOccurrence, phase.StreamConfig{Config: cfg})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp = cfg.Observer.StartSpan("analyze.table")
-	tb, err := an.BuildTable(warmOccurrence)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	if sp != nil {
-		// RelevantRows allocates; keep it off the nil-observer path.
-		sp.SetCounter("relevant_phases", int64(len(tb.RelevantRows())))
-	}
-	sp.End()
-	return an, tb, nil
+	return res.Analysis, res.Table, nil
 }
 
 // Out-of-core analysis. AnalyzeStream is stage A over a tracefile that
@@ -336,28 +308,15 @@ func AnalyzeStream(ctx context.Context, r *TraceBlockReader, cfg PhaseConfig, wa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := cfg.Observer.StartSpan("analyze.stream")
-	defer sp.End()
 	rs, err := r.RankStreams()
 	if err != nil {
 		return nil, err
 	}
-	tick, err := logical.StreamOrder(rs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := phase.ExtractStreamTable(ctx, tick, tick.Meta(), warmOccurrence, phase.StreamConfig{
+	return phase.AnalyzeSource(ctx, rs, warmOccurrence, phase.StreamConfig{
 		Config:         cfg,
 		MemBudgetBytes: opts.MemBudgetBytes,
 		SpillDir:       opts.SpillDir,
 	})
-	if err != nil {
-		return nil, err
-	}
-	sp.SetCounter("events", int64(rs.Meta().Events))
-	sp.SetCounter("ticks", int64(res.Stats.Ticks))
-	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
-	return res, nil
 }
 
 // AnalyzeAll runs Analyze over several traces concurrently on a
