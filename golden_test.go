@@ -45,11 +45,11 @@ func checkGolden(t *testing.T, got *golden.Record) {
 }
 
 // TestGoldenCorpus pins stage A's absolute output: every app's phase
-// table and prediction on the Table 5 and Table 7 machine pairs, and
-// the table of a seeded synthetic trace, must match the committed
-// records bit for bit.
+// table and prediction on the Table 5 and Table 7 machine pairs, the
+// fault-injected cases, and the table of a seeded synthetic trace, must
+// match the committed records bit for bit.
 func TestGoldenCorpus(t *testing.T) {
-	for _, c := range golden.Cases() {
+	for _, c := range append(golden.Cases(), golden.FaultCases()...) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			t.Parallel()
@@ -65,8 +65,12 @@ func TestGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			inj, err := c.Injector()
+			if err != nil {
+				t.Fatal(err)
+			}
 			out, err := pas2p.Predict(pas2p.Experiment{App: app, Base: base, Target: target,
-				EventOverhead: golden.EventOverhead, WarmOccurrence: golden.Warm})
+				EventOverhead: golden.EventOverhead, WarmOccurrence: golden.Warm, Faults: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,9 @@
 // Package golden holds the frozen stage-A answers that refactors of the
 // analysis engine are checked against: for every registered app, the
 // full phase table of its traced run plus the prediction it yields, on
-// the paper's Table 5 (A→B) and Table 7 (C→A) machine pairs, and the
-// table of one seeded synthetic trace. The records live as JSON under
+// the paper's Table 5 (A→B) and Table 7 (C→A) machine pairs, the same
+// for two fault-injected runs, and the table of one seeded synthetic
+// trace. The records live as JSON under
 // testdata/golden at the repository root; floats are stored as their
 // exact IEEE-754 bits in hex so a one-ulp drift is visible.
 package golden
@@ -16,6 +17,7 @@ import (
 	"strconv"
 
 	"pas2p/internal/apps"
+	"pas2p/internal/faults"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/phase"
@@ -55,13 +57,26 @@ var SynthSpec = workload.SynthSpec{AppName: "synth", Procs: 16, TargetEvents: 20
 // SynthName is the synthetic record's name.
 const SynthName = "synth"
 
-// Case is one app on one machine pair.
+// Case is one app on one machine pair, optionally under injected
+// faults.
 type Case struct {
 	App, Workload, Base, Target string
+	// Faults is a faults.ParseSpec specification seeded with FaultSeed;
+	// empty runs fault-free. Tag suffixes the record name of a faulted
+	// case.
+	Faults    string
+	FaultSeed int64
+	Tag       string
 }
 
-// Name is the case's record name, e.g. "cg-A-B".
-func (c Case) Name() string { return c.App + "-" + c.Base + "-" + c.Target }
+// Name is the case's record name, e.g. "cg-A-B" or "cg-A-B-faults".
+func (c Case) Name() string {
+	n := c.App + "-" + c.Base + "-" + c.Target
+	if c.Tag != "" {
+		n += "-" + c.Tag
+	}
+	return n
+}
 
 // Cases lists every app on every pair, in a stable order.
 func Cases() []Case {
@@ -72,6 +87,26 @@ func Cases() []Case {
 		}
 	}
 	return out
+}
+
+// FaultCases are the fault-injected records: message loss,
+// duplication, delay and compute jitter in cg's traced run, and restart
+// crashes (whose retry costs land in SET) in pop's signature.
+func FaultCases() []Case {
+	return []Case{
+		{App: "cg", Workload: Workloads["cg"], Base: "A", Target: "B",
+			Faults: "loss=0.05,dup=0.03,delay=0.1,jitter=0.01", FaultSeed: 1, Tag: "faults"},
+		{App: "pop", Workload: Workloads["pop"], Base: "A", Target: "B",
+			Faults: "crash=0.3,attempts=10", FaultSeed: 3, Tag: "crash"},
+	}
+}
+
+// Injector builds the case's fault injector; nil for a fault-free case.
+func (c Case) Injector() (*faults.Injector, error) {
+	if c.Faults == "" {
+		return nil, nil
+	}
+	return faults.ParseSpec(c.FaultSeed, c.Faults)
 }
 
 // Deployment places the case's ranks block-mapped on a preset cluster.
@@ -97,7 +132,11 @@ func (c Case) TracedRun() (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := mpi.Run(app, mpi.RunConfig{Deployment: d, Trace: true, EventOverhead: EventOverhead})
+	inj, err := c.Injector()
+	if err != nil {
+		return nil, err
+	}
+	res, err := mpi.Run(app, mpi.RunConfig{Deployment: d, Trace: true, EventOverhead: EventOverhead, Faults: inj})
 	if err != nil {
 		return nil, err
 	}

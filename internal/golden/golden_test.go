@@ -76,6 +76,14 @@ func TestCases(t *testing.T) {
 			t.Errorf("%s has no workload", c.Name())
 		}
 	}
+	for _, c := range FaultCases() {
+		if inj, err := c.Injector(); err != nil || inj == nil || !strings.HasSuffix(c.Name(), "-"+c.Tag) {
+			t.Errorf("%s: injector %v, %v", c.Name(), inj, err)
+		}
+	}
+	if inj, err := cs[0].Injector(); inj != nil || err != nil {
+		t.Errorf("fault-free case built injector %v, %v", inj, err)
+	}
 	if _, err := Deployment("Z"); err == nil {
 		t.Error("unknown cluster accepted")
 	}
