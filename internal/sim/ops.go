@@ -66,22 +66,21 @@ type CollInfo struct {
 	Payloads []any
 }
 
-// result is what a parked rank receives when resumed (and what an
-// inline operation returns directly).
+// result is a rank's pending slot: the handlers write the outcome of
+// its current operation here in place (for a parked rank, before it is
+// resumed), and the Proc method reads the field it returns.
 type result struct {
-	aborted bool
-	now     vtime.Time
-	ptp     PtPInfo
-	ptps    []PtPInfo // wait on several requests; nil for singletons
-	coll    CollInfo
-	reqID   int // isend/irecv
+	ptp   PtPInfo
+	ptps  []PtPInfo // wait on several requests; nil for singletons
+	coll  CollInfo
+	reqID int // isend/irecv
 }
 
 // handle applies one operation for the running rank ps, inline on the
-// rank's own goroutine. It returns the result and blocked=false when
-// the rank may continue, or blocked=true when the rank is now stuck
+// rank's own coroutine, writing its outcome into ps.pending. It reports
+// false when the rank may continue, or true when the rank is now stuck
 // (or the engine failed) and must yield to the scheduler.
-func (e *Engine) handle(ps *procState, req request) (result, bool) {
+func (e *Engine) handle(ps *procState, req *request) bool {
 	switch req.kind {
 	case opAdvance:
 		d := req.dur
@@ -97,14 +96,14 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 		start := ps.clock
 		ps.clock = ps.clock.Add(d)
 		e.slice(ps.rank, "compute", "compute", start, ps.clock)
-		return result{now: ps.clock}, false
+		return false
 
 	case opSetMode:
 		ps.mode = req.mode
 		if ps.mode.ComputeScale < 0 {
 			ps.mode.ComputeScale = 0
 		}
-		return result{now: ps.clock}, false
+		return false
 
 	case opSend, opIsend:
 		return e.handleSend(ps, req)
@@ -120,18 +119,18 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 
 	default:
 		e.err = fmt.Errorf("rank %d: unknown op %d", ps.rank, req.kind)
-		return result{}, true
+		return true
 	}
 }
 
-func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
+func (e *Engine) handleSend(ps *procState, req *request) bool {
 	if req.peer < 0 || req.peer >= e.n {
 		e.err = fmt.Errorf("rank %d: send to invalid rank %d", ps.rank, req.peer)
-		return result{}, true
+		return true
 	}
 	if req.size < 0 {
 		e.err = fmt.Errorf("rank %d: send with negative size %d", ps.rank, req.size)
-		return result{}, true
+		return true
 	}
 	path := e.cfg.Deployment.Path(ps.rank, req.peer)
 	m := e.newMessage()
@@ -190,7 +189,8 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 		e.slice(ps.rank, "send", "comm", info.Start, senderDone)
 		if req.kind == opSend {
 			ps.clock = senderDone
-			return result{now: ps.clock, ptp: info}, false
+			ps.pending.ptp = info
+			return false
 		}
 		rs := e.newReq(ps, reqSend)
 		rs.done = true
@@ -198,7 +198,8 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 		rs.info = info
 		// Isend still charges the local injection overhead.
 		ps.clock = senderDone
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 
 	// Rendezvous: completion awaits the matching receive. The sender
@@ -217,16 +218,17 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 			// call itself, exactly like the eager path.
 			ps.clock = rs.complete
 		}
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 	// Blocking rendezvous send = isend + wait.
 	return e.blockOnReq1(ps, rs.id, bkSend, req.peer, req.tag, req.size)
 }
 
-func (e *Engine) handleRecv(ps *procState, req request) (result, bool) {
+func (e *Engine) handleRecv(ps *procState, req *request) bool {
 	if req.peer != AnySource && (req.peer < 0 || req.peer >= e.n) {
 		e.err = fmt.Errorf("rank %d: recv from invalid rank %d", ps.rank, req.peer)
-		return result{}, true
+		return true
 	}
 	rs := e.newReq(ps, reqRecv)
 	e.pruneMatched(ps) // safe here: never called mid-iteration
@@ -240,16 +242,17 @@ func (e *Engine) handleRecv(ps *procState, req request) (result, bool) {
 	e.tryMatchPosted(pr, req.peer == AnySource)
 
 	if req.kind == opIrecv {
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 	return e.blockOnReq1(ps, rs.id, bkRecv, req.peer, req.tag, 0)
 }
 
-func (e *Engine) handleWait(ps *procState, req request) (result, bool) {
+func (e *Engine) handleWait(ps *procState, req *request) bool {
 	for _, id := range req.waitIDs {
 		if ps.findReq(id) == nil {
 			e.err = fmt.Errorf("rank %d: wait on unknown request %d", ps.rank, id)
-			return result{}, true
+			return true
 		}
 	}
 	return e.blockOnWait(ps, req.waitIDs)
@@ -259,54 +262,55 @@ func (e *Engine) handleWait(ps *procState, req request) (result, bool) {
 // Send/Recv path) unless it already resolved. The singleton wait set
 // lives in the rank's inline buffer, so no per-call slice is
 // allocated.
-func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, size int) (result, bool) {
+func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, size int) bool {
 	ps.wait1[0] = id
 	ps.waitSet = ps.wait1[:1]
 	ps.waitPost = ps.clock
-	if res, ok := e.completeWait(ps); ok {
-		return res, false
+	if e.completeWait(ps) {
+		return false
 	}
 	ps.status = stStuck
 	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
-	return result{}, true
+	return true
 }
 
 // blockOnWait parks the rank on an explicit wait set (Proc.Wait)
 // unless every request already resolved.
-func (e *Engine) blockOnWait(ps *procState, ids []int) (result, bool) {
+func (e *Engine) blockOnWait(ps *procState, ids []int) bool {
 	ps.waitSet = ids
 	ps.waitPost = ps.clock
-	if res, ok := e.completeWait(ps); ok {
-		return res, false
+	if e.completeWait(ps) {
+		return false
 	}
 	ps.status = stStuck
 	ps.block = blockInfo{kind: bkWait}
-	return result{}, true
+	return true
 }
 
 // completeWait checks a rank's wait set; when every request is done it
-// builds the wait result, advances the clock, clears the set and
-// recycles the consumed requests. Singleton waits return their info in
-// res.ptp with res.ptps nil, so the hot blocking path allocates
-// nothing.
-func (e *Engine) completeWait(ps *procState) (result, bool) {
+// writes the wait result into the rank's pending slot, advances the
+// clock, clears the set and recycles the consumed requests. Singleton
+// waits leave their info in ptp with ptps nil, so the hot blocking
+// path allocates nothing.
+func (e *Engine) completeWait(ps *procState) bool {
 	if ps.waitSet == nil {
-		return result{}, false
+		return false
 	}
 	end := ps.waitPost
 	for _, id := range ps.waitSet {
 		rs := ps.findReq(id)
 		if !rs.done {
-			return result{}, false
+			return false
 		}
 		if rs.complete > end {
 			end = rs.complete
 		}
 	}
-	var res result
+	res := &ps.pending
 	if len(ps.waitSet) == 1 {
 		rs := ps.takeReq(ps.waitSet[0])
 		res.ptp = rs.info
+		res.ptps = nil
 		e.freeReq(rs)
 	} else {
 		res.ptps = make([]PtPInfo, len(ps.waitSet))
@@ -317,9 +321,8 @@ func (e *Engine) completeWait(ps *procState) (result, bool) {
 		}
 	}
 	ps.clock = end
-	res.now = end
 	ps.waitSet = nil
-	return res, true
+	return true
 }
 
 // findReq returns the live request with the given id, or nil.
@@ -684,12 +687,10 @@ func (e *Engine) maybeWake(ps *procState) {
 			return
 		}
 	}
-	res, ok := e.completeWait(ps)
-	if !ok {
+	if !e.completeWait(ps) {
 		return
 	}
-	ps.pending = res
-	ps.wake = res.now
+	ps.wake = ps.clock
 	ps.status = stReady
 	ps.block = blockInfo{}
 	e.pushReady(ps)

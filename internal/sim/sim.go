@@ -1,12 +1,12 @@
 // Package sim is a deterministic discrete-event simulator for
 // message-passing programs. Each rank of a parallel application runs
-// as a goroutine executing real Go code; whenever it performs a
-// communication or declares computation, the rank goroutine applies
+// as a coroutine (iter.Pull) executing real Go code; whenever it
+// performs a communication or declares computation, the rank applies
 // the operation to the engine directly, using the machine and network
-// models of packages machine and network; it hands control to the
-// sequential scheduler only when the operation blocks.
+// models of packages machine and network; it yields to the sequential
+// scheduler only when the operation blocks.
 //
-// Exactly one goroutine (either the scheduler or a single rank) runs
+// Exactly one coroutine (either the scheduler or a single rank) runs
 // at any instant, and every scheduling decision uses deterministic
 // tie-breaking, so a given program on a given deployment always
 // produces bit-identical virtual timings. This property is what lets
@@ -131,9 +131,13 @@ type procState struct {
 	wake   vtime.Time
 	status procStatus
 
-	// resume wakes the rank goroutine; the payload travels in pending,
-	// written strictly before the signal.
-	resume  chan struct{}
+	// next resumes the rank's coroutine until it parks, finishes or
+	// fails; stop unwinds it; yield, set inside the coroutine, parks
+	// it. A parked rank's operation result is written into pending
+	// before it is resumed.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	pending result
 
 	mode Mode
@@ -234,16 +238,13 @@ type collState struct {
 }
 
 // Engine drives one run. Engine state is mutated by exactly one
-// goroutine at a time: the scheduler while picking, or the single
+// coroutine at a time: the scheduler while picking, or the single
 // running rank while applying an operation.
 type Engine struct {
 	cfg Config
 	n   int
 
 	procs []*procState
-	// yieldCh is how the running rank returns control to the scheduler
-	// when it parks, finishes or fails.
-	yieldCh chan struct{}
 
 	// ready is a binary min-heap of runnable ranks keyed on
 	// (wake time, rank) — the indexed replacement for the former
@@ -314,7 +315,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // newEngine validates the configuration and builds the run state; rank
-// goroutines start in run.
+// coroutines are created in run.
 func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("sim %q: nil deployment", cfg.Name)
@@ -323,10 +324,9 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sim %q: nil body", cfg.Name)
 	}
 	e := &Engine{
-		cfg:     cfg,
-		n:       cfg.Deployment.Ranks,
-		yieldCh: make(chan struct{}),
-		colls:   make(map[collKey]*collState),
+		cfg:   cfg,
+		n:     cfg.Deployment.Ranks,
+		colls: make(map[collKey]*collState),
 	}
 	e.channels = make([]msgQueue, e.n*e.n)
 	if cfg.NICContention {
@@ -356,7 +356,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		e.procs[i] = &procState{
 			rank:    i,
 			status:  stReady,
-			resume:  make(chan struct{}),
 			collSeq: map[int]int{},
 			mode:    NormalMode,
 		}
@@ -364,12 +363,11 @@ func newEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// run starts the rank goroutines, drives the scheduler loop, and
+// run creates the rank coroutines, drives the scheduler loop, and
 // collects the result.
 func (e *Engine) run() (Result, error) {
 	for _, ps := range e.procs {
-		p := &Proc{eng: e, st: ps}
-		go rankMain(p, e.cfg.Body)
+		e.startRank(ps)
 		e.pushReady(ps)
 	}
 	e.loop()
@@ -414,28 +412,6 @@ func (e *Engine) instant(rank int, name string, t vtime.Time) {
 	e.tl.Instant(e.tlPid, rank, name, usec(t))
 }
 
-// rankMain is the goroutine wrapper for one rank. Completion and
-// panics mutate engine state directly — safe because the rank is the
-// single running goroutine — and then yield to the scheduler.
-func rankMain(p *Proc, body func(*Proc)) {
-	e := p.eng
-	defer func() {
-		if r := recover(); r != nil {
-			if r == errAborted {
-				return // engine is shutting down
-			}
-			p.st.status = stDone
-			e.err = fmt.Errorf("rank %d panicked: %v", p.st.rank, r)
-			e.yieldCh <- struct{}{}
-		}
-	}()
-	p.await() // wait for the first schedule
-	body(p)
-	p.st.status = stDone
-	e.doneCount++
-	e.yieldCh <- struct{}{}
-}
-
 // loop is the scheduler: repeatedly run the earliest ready rank; when
 // none is ready, resolve a conservative wildcard receive; otherwise
 // report deadlock.
@@ -458,10 +434,9 @@ func (e *Engine) loop() {
 		if ps.wake > ps.clock {
 			ps.clock = ps.wake
 		}
-		ps.resume <- struct{}{}
-		// The rank now runs alone, applying its operations inline; it
-		// signals back when it parks, finishes or fails.
-		<-e.yieldCh
+		// The rank now runs alone, applying its operations inline;
+		// control returns here when it parks, finishes or fails.
+		ps.next()
 	}
 }
 
@@ -542,22 +517,14 @@ func (e *Engine) pickReadyScan() *procState {
 	return best
 }
 
-// abort unblocks every live rank goroutine with a poison result so the
-// process does not leak goroutines after a failed run.
+// abort unwinds every unfinished rank coroutine so the process does
+// not leak goroutines after a failed run: a parked rank's yield returns
+// false and its operation panics errAborted, and a rank that never
+// started never runs its body.
 func (e *Engine) abort() {
 	for _, ps := range e.procs {
-		if ps.status == stDone {
-			continue
-		}
-		ps.pending = result{aborted: true}
-		// Stuck and ready ranks wait in await; the formerly-running
-		// rank is parked there too by the time loop exits.
-		select {
-		case ps.resume <- struct{}{}:
-		default:
-			// The rank has not reached its receive yet; deliver the
-			// poison from the side.
-			go func(c chan struct{}) { c <- struct{}{} }(ps.resume)
+		if ps.status != stDone {
+			ps.stop()
 		}
 	}
 }

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pas2p/internal/machine"
 	"pas2p/internal/network"
@@ -379,6 +381,59 @@ func TestInvalidPeerFails(t *testing.T) {
 		if _, err := Run(Config{Deployment: testDeployment(t, 1), Name: "bad", Body: body}); err == nil {
 			t.Error("expected validation error")
 		}
+	}
+}
+
+// TestFailedRunsLeakNoGoroutines: every way a run can fail unwinds all
+// rank coroutines (parked, runnable or never started), so after Run
+// returns its error the goroutine count settles back to its value
+// before the run.
+func TestFailedRunsLeakNoGoroutines(t *testing.T) {
+	all := []int{0, 1, 2, 3}
+	for _, c := range []struct {
+		name, want string
+		body       func(p *Proc)
+	}{
+		{"deadlock", "deadlock", func(p *Proc) {
+			p.Recv((p.Rank()+1)%p.Size(), 0)
+		}},
+		{"rank panic", "kaboom", func(p *Proc) {
+			if p.Rank() == 1 {
+				panic("kaboom")
+			}
+			p.Recv(1, 0)
+		}},
+		{"invalid peer", "invalid rank", func(p *Proc) {
+			p.Irecv(AnySource, 0)
+			if p.Rank() == 2 {
+				p.Advance(vtime.Microsecond)
+				p.Send(99, 0, 8, nil)
+			}
+			p.Recv(AnySource, 1)
+		}},
+		{"collective mismatch", "collective mismatch", func(p *Proc) {
+			op := network.Bcast
+			if p.Rank() == 1 {
+				op = network.Allreduce
+			}
+			p.Collective(op, 0, all, 0, 8, nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			_, err := Run(Config{Deployment: testDeployment(t, len(all)), Name: "leak", Body: c.body})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+			now := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); now > before && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+				now = runtime.NumGoroutine()
+			}
+			if now > before {
+				t.Errorf("%d goroutines before the run, %d after it failed", before, now)
+			}
+		})
 	}
 }
 
