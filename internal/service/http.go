@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime/debug"
@@ -339,6 +340,10 @@ func (s *Service) noteDrainOutcome(ok bool) {
 	}
 }
 
+// maxDeadlineMs is the largest X-Deadline-Ms whose time.Duration does
+// not overflow.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // clientDeadline parses X-Deadline-Ms. Absent → 0 (class default).
 func clientDeadline(r *http.Request) (time.Duration, *APIError) {
 	v := r.Header.Get(DeadlineHeader)
@@ -346,8 +351,9 @@ func clientDeadline(r *http.Request) (time.Duration, *APIError) {
 		return 0, nil
 	}
 	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, errBadRequest("%s must be a positive integer of milliseconds, got %q", DeadlineHeader, v)
+	if err != nil || ms <= 0 || ms > maxDeadlineMs {
+		return 0, errBadRequest("%s must be a positive integer of milliseconds up to %d, got %q",
+			DeadlineHeader, maxDeadlineMs, v)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -312,6 +313,35 @@ func TestInfeasibleDeadlineIsShedBeforeWork(t *testing.T) {
 	}
 	if svc.mAbandoned.Value() != 0 {
 		t.Fatal("shed request still started work")
+	}
+}
+
+// TestClientDeadlineBounds: X-Deadline-Ms accepts 1 up to the largest
+// value whose time.Duration does not overflow, and rejects anything past
+// it as a typed 400 instead of wrapping to a negative deadline.
+func TestClientDeadlineBounds(t *testing.T) {
+	for _, c := range []struct {
+		v    string
+		want time.Duration
+	}{
+		{"1", time.Millisecond},
+		{strconv.FormatInt(maxDeadlineMs, 10), time.Duration(maxDeadlineMs) * time.Millisecond},
+		{strconv.FormatInt(maxDeadlineMs+1, 10), 0},
+		{"9227000000000", 0},
+		{"0", 0},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/x", nil)
+		req.Header.Set(DeadlineHeader, c.v)
+		d, aerr := clientDeadline(req)
+		if c.want == 0 {
+			if aerr == nil || aerr.Status != http.StatusBadRequest || aerr.Code != CodeBadRequest {
+				t.Errorf("%s: accepted as %v (err %+v), want a typed 400", c.v, d, aerr)
+			}
+			continue
+		}
+		if aerr != nil || d != c.want || d <= 0 {
+			t.Errorf("%s: got %v, %+v; want %v", c.v, d, aerr, c.want)
+		}
 	}
 }
 
