@@ -46,9 +46,12 @@ soak-100m:
 		$(GO) test . -run TestStreamSoakBoundedMemory -count=1 -v -timeout 1800s
 
 # Refresh the benchstat baseline CI compares against. Run on a quiet
-# machine; commit bench/baseline.txt with the change that moves it.
+# machine; commit bench/baseline.txt with the change that moves it. The
+# simulator's per-operation benchmarks need the default benchtime: two
+# iterations would time little but the run's setup.
 bench-baseline:
 	$(GO) test ./internal/trace ./internal/phase -run xxx -bench . -benchtime 2x -count 3 | tee bench/baseline.txt
+	$(GO) test ./internal/sim -run xxx -bench . -benchmem -count 3 | tee -a bench/baseline.txt
 
 # Regenerate the frozen stage-A corpus (testdata/golden). Only for an
 # intended change of the answers; say why in the same change.
