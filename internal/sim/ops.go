@@ -255,7 +255,7 @@ func (e *Engine) handleWait(ps *procState, req *request) bool {
 			return true
 		}
 	}
-	return e.blockOnWait(ps, req.waitIDs)
+	return e.blockOnWait(ps, req.waitIDs, bkWait, 0, 0, 0)
 }
 
 // blockOnReq1 parks the rank on a single request (the blocking
@@ -264,26 +264,20 @@ func (e *Engine) handleWait(ps *procState, req *request) bool {
 // allocated.
 func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, size int) bool {
 	ps.wait1[0] = id
-	ps.waitSet = ps.wait1[:1]
-	ps.waitPost = ps.clock
-	if e.completeWait(ps) {
-		return false
-	}
-	ps.status = stStuck
-	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
-	return true
+	return e.blockOnWait(ps, ps.wait1[:1], kind, peer, tag, size)
 }
 
-// blockOnWait parks the rank on an explicit wait set (Proc.Wait)
-// unless every request already resolved.
-func (e *Engine) blockOnWait(ps *procState, ids []int) bool {
+// blockOnWait parks the rank on a wait set unless every request already
+// resolved; kind, peer, tag and size describe the block for deadlock
+// reports.
+func (e *Engine) blockOnWait(ps *procState, ids []int, kind blockKind, peer, tag, size int) bool {
 	ps.waitSet = ids
 	ps.waitPost = ps.clock
 	if e.completeWait(ps) {
 		return false
 	}
 	ps.status = stStuck
-	ps.block = blockInfo{kind: bkWait}
+	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
 	return true
 }
 

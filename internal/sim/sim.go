@@ -6,11 +6,11 @@
 // models of packages machine and network; it yields to the sequential
 // scheduler only when the operation blocks.
 //
-// Exactly one coroutine (either the scheduler or a single rank) runs
-// at any instant, and every scheduling decision uses deterministic
-// tie-breaking, so a given program on a given deployment always
-// produces bit-identical virtual timings. This property is what lets
-// the PAS2P checkpoint substrate replace state capture with replay.
+// Exactly one of the scheduler and the ranks runs at any instant, and
+// every scheduling decision uses deterministic tie-breaking, so a
+// given program on a given deployment always produces bit-identical
+// virtual timings. This property is what lets the PAS2P checkpoint
+// substrate replace state capture with replay.
 //
 // The blocking rules implement standard MPI point-to-point semantics:
 // eager messages complete locally, rendezvous messages wait for the
@@ -237,9 +237,9 @@ type collState struct {
 	freeAll  bool
 }
 
-// Engine drives one run. Engine state is mutated by exactly one
-// coroutine at a time: the scheduler while picking, or the single
-// running rank while applying an operation.
+// Engine drives one run. Engine state is mutated by one party at a
+// time: the scheduler while picking, or the single running rank while
+// applying an operation.
 type Engine struct {
 	cfg Config
 	n   int
